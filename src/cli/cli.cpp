@@ -28,9 +28,8 @@ constexpr const char* kTopHelp =
     "  cache    campaign cache pack maintenance (stats/compact/evict)\n"
     "  explore  distributed design-space exploration over the 586\n"
     "           combinations (run/merge/frontier/report on .cxl ledgers)\n"
-    "  serve    shard-worker daemon: manifests in over a local socket,\n"
+    "  serve    shard-worker daemon: shards in over a local socket,\n"
     "           progress events and .csr payloads streamed back\n"
-    "  submit   send a manifest to a serve daemon, collect its .csr files\n"
     "  fleet    orchestrate many serve workers: work-stealing shard\n"
     "           dispatch, dead-worker redispatch, live result merge\n"
     "  status   live fleet/worker/cache telemetry tables from serve\n"
@@ -89,7 +88,6 @@ int run(int argc, char** argv) {
     if (cmd == "cache") return cmd_cache(sub_argc, sub_argv);
     if (cmd == "explore") return cmd_explore(sub_argc, sub_argv);
     if (cmd == "serve") return cmd_serve(sub_argc, sub_argv);
-    if (cmd == "submit") return cmd_submit(sub_argc, sub_argv);
     if (cmd == "fleet") return cmd_fleet(sub_argc, sub_argv);
     if (cmd == "status") return cmd_status(sub_argc, sub_argv);
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {

@@ -18,9 +18,10 @@
 //   clear explore  distributed design-space exploration: run/resume one
 //                  combo-space shard into a .cxl ledger, merge shard
 //                  ledgers, render the Pareto frontier (explore/explore.h)
-//   clear serve    shard-worker daemon: accept campaign manifests over a
+//   clear serve    shard-worker daemon: accept shard assignments over a
 //                  local socket, stream progress, return .csr payloads
-//   clear submit   driver client for a serve daemon
+//   clear fleet    drive serve workers: shard dispatch, redispatch, live
+//                  merge (one worker endpoint = a plain remote run)
 //   clear status   live fleet/worker telemetry tables: per-worker cache,
 //                  latency and shard columns from serve heartbeats or a
 //                  fleet --status-out file (docs/OBSERVABILITY.md)
@@ -53,10 +54,9 @@ int cmd_cache(int argc, const char* const* argv);
 // `clear explore <run|merge|frontier|report>`: argv[0] is the explore
 // subcommand word.
 int cmd_explore(int argc, const char* const* argv);
-// `clear serve` / `clear submit`: the shard-worker daemon and its driver
-// client (engine/protocol.h speaks the framing in docs/FORMATS.md).
+// `clear serve`: the shard-worker daemon `clear fleet` drives
+// (engine/protocol.h speaks the framing in docs/FORMATS.md).
 int cmd_serve(int argc, const char* const* argv);
-int cmd_submit(int argc, const char* const* argv);
 // `clear fleet <run|explore>`: multi-worker orchestration over serve
 // daemons (fleet/fleet.h): work-stealing shard dispatch, dead-worker
 // redispatch, live re-merge of arriving results.

@@ -1,26 +1,19 @@
-// `clear serve` / `clear submit`: the shard-worker daemon and its driver
-// client.
+// `clear serve`: the shard-worker daemon.
 //
-//   clear serve   accept job requests (multi-campaign manifests in the
-//                 `clear run --spec` grammar) and fleet shard assignments
-//                 over a local socket, run them on the process-wide
-//                 execution engine, stream progress events and heartbeats,
-//                 and return each campaign's result as `.csr` wire bytes
-//                 (or a `.cxl` ledger for explore shards) -- the run ->
-//                 scp -> merge workflow as a live worker a driver keeps
-//                 saturated.  Each connection is serviced on its own
-//                 thread, so concurrent drivers make progress
-//                 simultaneously; `--workers N` fans out N child daemons
-//                 for whole-machine fleets.
-//   clear submit  connect to a daemon, ship one manifest, stream its
-//                 progress, and write the returned .csr files -- ready
-//                 for `clear merge` exactly as if `clear run` had
-//                 written them locally (byte-identical, enforced by the
-//                 loopback e2e test).
+// Accepts fleet shard assignments (multi-campaign manifests in the
+// `clear run --spec` grammar, or explore stanzas) over a local socket,
+// runs them on the process-wide execution engine, streams progress events
+// and heartbeats, and returns each campaign's result as `.csr` wire bytes
+// (or a `.cxl` ledger for explore shards) -- the run -> scp -> merge
+// workflow as a live worker a driver keeps saturated.  Each connection is
+// serviced on its own thread, so concurrent drivers make progress
+// simultaneously; `--workers N` fans out N child daemons for
+// whole-machine fleets.  The driver is `clear fleet` (cli_fleet.cpp); a
+// one-worker `clear fleet run` writes .csr files byte-identical to
+// `clear run --out` (enforced by the loopback e2e test).
 //
 // Protocol: engine/protocol.h; framing bytes in docs/FORMATS.md; flags
 // in docs/CONFIG.md.
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -28,9 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +40,6 @@
 #include "obs/metrics.h"
 #include "util/args.h"
 #include "util/env.h"
-#include "util/fs.h"
 #include "util/socket.h"
 #include "util/threadpool.h"
 
@@ -106,28 +96,25 @@ bool send_frame(util::Socket* sock, serve::FrameType type,
 
 // ---- server ----------------------------------------------------------------
 
-// One submitted work item: a kJob manifest or a kShardAssign shard.  The
-// resolved plans are the stable storage the engine job's spec pointers
-// alias; explore shards run on a dedicated thread because
-// run_exploration blocks (the connection loop must keep pumping
-// heartbeats and steal frames meanwhile).  Destruction cancels and joins
-// unfinished work before the plans go away.  A request refused before
-// submission (bad manifest, engine backpressure) still occupies a queue
-// slot so its kDone is delivered in request order -- a pipelining driver
-// matches done frames to requests by position.
+// One assigned shard.  The resolved plans are the stable storage the
+// engine job's spec pointers alias; explore shards run on a dedicated
+// thread because run_exploration blocks (the connection loop must keep
+// pumping heartbeats and steal frames meanwhile).  Destruction cancels
+// and joins unfinished work before the plans go away.  A shard refused
+// before submission (bad manifest, engine backpressure) still occupies a
+// queue slot so its kDone is delivered in assignment order -- a
+// pipelining driver matches done frames to assignments by position.
 struct ServedWork {
-  // Shard bookkeeping (kShardAssign only).
-  bool is_shard = false;
   std::uint64_t shard_id = 0;
   serve::ShardKind kind = serve::ShardKind::kCampaign;
   // kSteal honoured: retire silently -- the driver was promised no kDone.
   bool revoked = false;
 
-  // Campaign path (kJob, or kShardAssign/kCampaign).
+  // Campaign path (ShardKind::kCampaign).
   std::vector<plan::RunPlan> plans;
   engine::Job job;
 
-  // Explore path (kShardAssign/kExplore).
+  // Explore path (ShardKind::kExplore).
   std::thread explore_thread;
   std::atomic<bool> explore_done{false};
   std::atomic<bool> explore_cancel{false};
@@ -142,7 +129,7 @@ struct ServedWork {
   serve::Done refusal;
 
   [[nodiscard]] bool is_explore() const {
-    return is_shard && kind == serve::ShardKind::kExplore;
+    return kind == serve::ShardKind::kExplore;
   }
 
   // True once the work retired (results or error ready).
@@ -240,9 +227,9 @@ void submit_campaigns(ServedWork* served, const std::string& manifest,
   served->refusal.message = error;
 }
 
-// Services one connection (one thread per connection; `clear submit`
-// drivers and fleet drivers share the daemon).  Returns true when the
-// client requested a daemon shutdown.
+// Services one connection (one thread per connection; concurrent fleet
+// drivers share the daemon).  Returns true when the client requested a
+// daemon shutdown.
 bool handle_connection(util::Socket conn, const serve::Hello& hello,
                        bool quiet, int progress_ms, int heartbeat_ms) {
   if (!send_frame(&conn, serve::FrameType::kHello,
@@ -365,8 +352,8 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
             cancel_all();
           }
           if (!quiet) {
-            std::printf("serve      %s finished: %s\n",
-                        front.is_shard ? "shard" : "job",
+            std::printf("serve      shard #%llu finished: %s\n",
+                        static_cast<unsigned long long>(front.shard_id),
                         serve::job_outcome_name(done.outcome));
             std::fflush(stdout);
           }
@@ -461,30 +448,6 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
         break;
       }
       switch (frame.type) {
-        case serve::FrameType::kJob: {
-          serve::JobRequest req;
-          auto served = std::make_unique<ServedWork>();
-          if (!serve::decode_job(frame.payload, &req)) {
-            served->refused = true;
-            served->refusal.outcome = serve::JobOutcome::kBadRequest;
-            served->refusal.message = "clear serve: malformed job frame";
-            queue.push_back(std::move(served));
-            break;
-          }
-          submit_campaigns(served.get(), req.manifest, req.priority);
-          if (!quiet && !served->refused) {
-            std::printf("serve      job #%llu accepted: %zu campaigns "
-                        "(%s lane)\n",
-                        static_cast<unsigned long long>(served->job.id()),
-                        served->plans.size(),
-                        req.priority == engine::JobPriority::kBulk
-                            ? "bulk"
-                            : "interactive");
-            std::fflush(stdout);
-          }
-          queue.push_back(std::move(served));
-          break;
-        }
         case serve::FrameType::kShardAssign: {
           serve::ShardAssign assign;
           if (!serve::decode_shard_assign(frame.payload, &assign)) {
@@ -507,7 +470,6 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
             break;
           }
           auto served = std::make_unique<ServedWork>();
-          served->is_shard = true;
           served->shard_id = assign.shard_id;
           served->kind = assign.kind;
           if (assign.kind == serve::ShardKind::kExplore) {
@@ -538,8 +500,7 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
           ack.shard_id = shard_id;
           ack.status = serve::ShardAckStatus::kUnknown;
           for (auto& work : queue) {
-            if (work->is_shard && work->shard_id == shard_id &&
-                !work->revoked) {
+            if (work->shard_id == shard_id && !work->revoked) {
               // Revoke: cancel the execution and promise the driver no
               // kDone -- it is free to re-dispatch immediately.
               work->revoked = true;
@@ -556,9 +517,6 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
           }
           break;
         }
-        case serve::FrameType::kCancel:
-          if (!queue.empty()) queue.front()->cancel();
-          break;
         case serve::FrameType::kShutdown:
           shutdown = true;
           g_shutdown.store(true, std::memory_order_relaxed);
@@ -656,75 +614,19 @@ int serve_fanout(int workers, bool have_socket, const std::string& base_path,
   return 0;
 }
 
-// ---- client helpers --------------------------------------------------------
-
-// Reads frames until one arrives; false on EOF/protocol error.
-bool recv_frame(util::Socket* sock, std::string* buf, serve::Frame* out,
-                std::string* error) {
-  for (;;) {
-    const serve::FrameStatus st = serve::decode_frame(buf, out);
-    if (st == serve::FrameStatus::kOk) return true;
-    if (st == serve::FrameStatus::kBad) {
-      *error = "protocol error (bad frame)";
-      return false;
-    }
-    char chunk[4096];
-    const long n = sock->recv_some(chunk, sizeof(chunk));
-    if (n <= 0) {
-      *error = "connection closed by server";
-      return false;
-    }
-    buf->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-// Deadline-bounded recv_frame: a server that accepted the connection but
-// never speaks (wedged daemon, wrong service on the port) must not hang
-// the client forever.
-bool recv_frame_deadline(util::Socket* sock, std::string* buf,
-                         serve::Frame* out, int timeout_ms,
-                         std::string* error) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const serve::FrameStatus st = serve::decode_frame(buf, out);
-    if (st == serve::FrameStatus::kOk) return true;
-    if (st == serve::FrameStatus::kBad) {
-      *error = "protocol error (bad frame)";
-      return false;
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      *error = "timed out after " + std::to_string(timeout_ms) + " ms";
-      return false;
-    }
-    if (!sock->readable(static_cast<int>(
-            std::min<long long>(left.count(), 100)))) {
-      continue;
-    }
-    char chunk[4096];
-    const long n = sock->recv_some(chunk, sizeof(chunk));
-    if (n <= 0) {
-      *error = "connection closed by server";
-      return false;
-    }
-    buf->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 }  // namespace
 
 int cmd_serve(int argc, const char* const* argv) {
   util::ArgParser args(
       "clear serve (--socket <path> | --port <N>) [options]",
-      "Runs a shard-worker daemon: accepts multi-campaign manifests (the\n"
-      "'clear run --spec' grammar) and fleet shard assignments over a\n"
-      "local stream socket, executes them on the process-wide job engine,\n"
-      "streams progress events and heartbeats, and returns each\n"
+      "Runs a shard-worker daemon: accepts shard assignments (campaign\n"
+      "manifests in the 'clear run --spec' grammar, or explore stanzas)\n"
+      "over a local stream socket, executes them on the process-wide job\n"
+      "engine, streams progress events and heartbeats, and returns each\n"
       "campaign's .csr wire bytes (or a .cxl ledger for explore shards).\n"
-      "Each connection is serviced on its own thread; 'clear submit' and\n"
-      "'clear fleet' are the matching drivers.");
+      "Each connection is serviced on its own thread; 'clear fleet run'\n"
+      "and 'clear fleet explore' are the drivers (one worker endpoint\n"
+      "gives one shard).");
   args.add_option("socket", "path", "listen on a UNIX stream socket");
   args.add_option("port", "N", "listen on 127.0.0.1:N instead");
   args.add_flag("once", "serve exactly one connection, then exit");
@@ -737,7 +639,7 @@ int cmd_serve(int argc, const char* const* argv) {
   args.add_option("workers", "N",
                   "fan out N child daemons on socket path.0..N-1 (or\n"
                   "port..port+N-1) and reap them", "0");
-  args.add_flag("quiet", "suppress per-job log lines");
+  args.add_flag("quiet", "suppress per-shard log lines");
 
   std::string error;
   if (!args.parse(argc, argv, &error)) {
@@ -806,9 +708,9 @@ int cmd_serve(int argc, const char* const* argv) {
   const serve::Hello hello = server_hello(name);
   g_shutdown.store(false, std::memory_order_relaxed);
 
-  // Thread-per-connection: concurrent drivers (two `clear submit`
-  // clients, a fleet driver plus an interactive submit) make progress
-  // simultaneously instead of queueing behind the accept loop.
+  // Thread-per-connection: concurrent drivers (two `clear fleet run`
+  // invocations sharing this worker) make progress simultaneously
+  // instead of queueing behind the accept loop.
   struct ConnTask {
     std::thread thread;
     std::atomic<bool> finished{false};
@@ -852,220 +754,6 @@ int cmd_serve(int argc, const char* const* argv) {
   listener.close();
   if (have_socket) std::remove(args.get("socket").c_str());
   if (!quiet) std::printf("serve      exiting\n");
-  return 0;
-}
-
-int cmd_submit(int argc, const char* const* argv) {
-  util::ArgParser args(
-      "clear submit (--socket <path> | --port <N>) --spec <file> [options]",
-      "Submits a campaign manifest (the 'clear run --spec' grammar) to a\n"
-      "'clear serve' worker, streams its progress, and writes the\n"
-      "returned shard results as .csr files -- byte-identical to what\n"
-      "'clear run --out' would have written locally.");
-  args.add_option("socket", "path", "connect to a UNIX stream socket");
-  args.add_option("port", "N", "connect to 127.0.0.1:N instead");
-  args.add_option("spec", "file", "manifest to submit (required)");
-  args.add_option("out-dir", "dir",
-                  "write campaign<i>.csr results here", ".");
-  args.add_option("priority", "interactive|bulk", "engine scheduling lane",
-                  "interactive");
-  args.add_option("connect-retry-ms", "N",
-                  "retry a refused connection this long (daemon startup)",
-                  "5000");
-  args.add_option("hello-timeout-ms", "N",
-                  "give up when the server's hello takes longer than this",
-                  "10000");
-  args.add_option("cancel-after", "N",
-                  "send a cancel after N progress frames (0 = never)", "0");
-  args.add_flag("shutdown", "ask the daemon to exit after this connection");
-  args.add_flag("quiet", "suppress progress lines");
-
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "clear submit: %s\n%s", error.c_str(),
-                 args.help().c_str());
-    return 2;
-  }
-  if (args.help_requested()) {
-    std::fputs(args.help().c_str(), stdout);
-    return 0;
-  }
-  const bool have_socket = args.has("socket");
-  const bool have_port = args.has("port");
-  if (have_socket == have_port) {
-    std::fprintf(stderr,
-                 "clear submit: exactly one of --socket or --port "
-                 "required\n%s",
-                 args.help().c_str());
-    return 2;
-  }
-  if (!args.has("spec")) {
-    std::fprintf(stderr, "clear submit: --spec is required\n%s",
-                 args.help().c_str());
-    return 2;
-  }
-  const std::string priority_text = args.get("priority");
-  engine::JobPriority priority = engine::JobPriority::kInteractive;
-  if (priority_text == "bulk") priority = engine::JobPriority::kBulk;
-  else if (priority_text != "interactive") {
-    std::fprintf(stderr, "clear submit: bad --priority '%s'\n",
-                 priority_text.c_str());
-    return 2;
-  }
-  std::uint64_t port = 0, retry_ms = 5000, hello_ms = 10000, cancel_after = 0;
-  if (!args.get_u64("port", 0, &port) || port > 65535 ||
-      !args.get_u64("connect-retry-ms", 5000, &retry_ms) ||
-      !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0 ||
-      !args.get_u64("cancel-after", 0, &cancel_after)) {
-    std::fprintf(stderr, "clear submit: bad numeric flag value\n");
-    return 2;
-  }
-  const bool quiet = args.has("quiet");
-
-  std::ifstream spec_in(args.get("spec"), std::ios::binary);
-  if (!spec_in) {
-    std::fprintf(stderr, "clear submit: cannot read spec file '%s'\n",
-                 args.get("spec").c_str());
-    return 1;
-  }
-  std::ostringstream manifest;
-  manifest << spec_in.rdbuf();
-
-  util::Socket sock;
-  try {
-    // connect_* retries ECONNREFUSED/ENOENT with exponential backoff up
-    // to the budget: a daemon still binding its socket is a race, not an
-    // error.
-    sock = have_socket
-               ? util::Socket::connect_unix(args.get("socket"),
-                                            static_cast<int>(retry_ms))
-               : util::Socket::connect_tcp_loopback(
-                     static_cast<std::uint16_t>(port),
-                     static_cast<int>(retry_ms));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "clear submit: %s\n", e.what());
-    return 1;
-  }
-
-  std::string buf;
-  serve::Frame frame;
-  if (!recv_frame_deadline(&sock, &buf, &frame, static_cast<int>(hello_ms),
-                           &error) ||
-      frame.type != serve::FrameType::kHello) {
-    std::fprintf(stderr, "clear submit: no hello from server (%s)\n",
-                 error.c_str());
-    return 1;
-  }
-  serve::Hello hello;
-  if (!serve::decode_hello(frame.payload, &hello) ||
-      hello.proto_version != serve::kProtoVersion) {
-    std::fprintf(stderr,
-                 "clear submit: unsupported server protocol (want v%u)\n",
-                 serve::kProtoVersion);
-    return 1;
-  }
-  if (hello.wire_version != inject::kWireVersion) {
-    std::fprintf(stderr,
-                 "clear submit: server speaks .csr v%u, this binary v%u -- "
-                 "results would not merge; upgrade one side\n",
-                 hello.wire_version, inject::kWireVersion);
-    return 1;
-  }
-
-  serve::JobRequest req;
-  req.priority = priority;
-  req.manifest = manifest.str();
-  if (!send_frame(&sock, serve::FrameType::kJob, serve::encode_job(req))) {
-    std::fprintf(stderr, "clear submit: send failed\n");
-    return 1;
-  }
-  if (args.has("shutdown")) {
-    send_frame(&sock, serve::FrameType::kShutdown, "");
-  }
-
-  std::vector<std::pair<std::uint32_t, std::string>> results;
-  serve::Done done;
-  std::uint64_t progress_frames = 0;
-  bool cancel_sent = false;
-  for (;;) {
-    if (!recv_frame(&sock, &buf, &frame, &error)) {
-      std::fprintf(stderr, "clear submit: %s\n", error.c_str());
-      return 1;
-    }
-    if (frame.type == serve::FrameType::kProgress) {
-      engine::JobProgress p;
-      if (serve::decode_progress(frame.payload, &p) && !quiet) {
-        std::printf("progress   %s: goldens %llu/%llu, samples %llu/%llu\n",
-                    engine::job_state_name(p.state),
-                    static_cast<unsigned long long>(p.goldens_done),
-                    static_cast<unsigned long long>(p.goldens_total),
-                    static_cast<unsigned long long>(p.samples_done),
-                    static_cast<unsigned long long>(p.samples_total));
-        std::fflush(stdout);
-      }
-      ++progress_frames;
-      if (cancel_after != 0 && !cancel_sent &&
-          progress_frames >= cancel_after) {
-        send_frame(&sock, serve::FrameType::kCancel, "");
-        cancel_sent = true;
-      }
-    } else if (frame.type == serve::FrameType::kResult) {
-      std::uint32_t index = 0;
-      std::string csr;
-      if (!serve::decode_result(frame.payload, &index, &csr)) {
-        std::fprintf(stderr, "clear submit: malformed result frame\n");
-        return 1;
-      }
-      results.emplace_back(index, std::move(csr));
-    } else if (frame.type == serve::FrameType::kDone) {
-      if (!serve::decode_done(frame.payload, &done)) {
-        std::fprintf(stderr, "clear submit: malformed done frame\n");
-        return 1;
-      }
-      break;
-    }  // other frame types (heartbeats included): ignore
-  }
-
-  if (done.outcome == serve::JobOutcome::kCancelled && cancel_sent) {
-    std::printf("job cancelled on request (%llu progress frames seen)\n",
-                static_cast<unsigned long long>(progress_frames));
-    return 0;
-  }
-  if (done.outcome != serve::JobOutcome::kOk) {
-    std::fprintf(stderr, "clear submit: job %s: %s\n",
-                 serve::job_outcome_name(done.outcome), done.message.c_str());
-    return 1;
-  }
-
-  const std::string out_dir = args.get("out-dir");
-  if (!util::ensure_dir(out_dir)) {
-    std::fprintf(stderr, "clear submit: cannot create out dir '%s'\n",
-                 out_dir.c_str());
-    return 1;
-  }
-  for (const auto& [index, csr] : results) {
-    // Validate before writing: a checksum-clean decode proves the bytes
-    // survived the stream intact.
-    inject::ShardFile shard;
-    if (inject::decode_shard(csr, &shard) != inject::WireStatus::kOk) {
-      std::fprintf(stderr, "clear submit: result #%u failed .csr decode\n",
-                   index);
-      return 1;
-    }
-    const std::string path =
-        out_dir + "/campaign" + std::to_string(index) + ".csr";
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(csr.data(), static_cast<std::streamsize>(csr.size()));
-    if (!out.flush()) {
-      std::fprintf(stderr, "clear submit: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    if (!quiet) {
-      std::printf("wrote %s (%llu samples, key=%s)\n", path.c_str(),
-                  static_cast<unsigned long long>(shard.result.totals.total()),
-                  shard.key.c_str());
-    }
-  }
   return 0;
 }
 

@@ -7,9 +7,22 @@ namespace clear::serve {
 
 namespace {
 
+// An explicit list, not a range: the retired type words 2 and 3 (v2
+// job/cancel) sit inside kHello..kSteal and must stay refused.
 bool known_type(std::uint32_t t) {
-  return t >= static_cast<std::uint32_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint32_t>(FrameType::kSteal);
+  switch (static_cast<FrameType>(t)) {
+    case FrameType::kHello:
+    case FrameType::kShutdown:
+    case FrameType::kProgress:
+    case FrameType::kResult:
+    case FrameType::kDone:
+    case FrameType::kHeartbeat:
+    case FrameType::kShardAssign:
+    case FrameType::kShardAck:
+    case FrameType::kSteal:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -17,8 +30,6 @@ bool known_type(std::uint32_t t) {
 const char* frame_type_name(FrameType t) noexcept {
   switch (t) {
     case FrameType::kHello: return "hello";
-    case FrameType::kJob: return "job";
-    case FrameType::kCancel: return "cancel";
     case FrameType::kShutdown: return "shutdown";
     case FrameType::kProgress: return "progress";
     case FrameType::kResult: return "result";
@@ -180,24 +191,6 @@ bool decode_heartbeat(const std::string& payload, std::uint32_t* inflight,
                       std::string* metrics) {
   if (!decode_heartbeat(payload, inflight)) return false;
   metrics->assign(payload, 4, payload.size() - 4);
-  return true;
-}
-
-std::string encode_job(const JobRequest& j) {
-  std::string out;
-  out.push_back(static_cast<char>(j.priority));
-  out.append(j.manifest);
-  return out;
-}
-
-bool decode_job(const std::string& payload, JobRequest* out) {
-  if (payload.empty()) return false;
-  const auto prio = static_cast<std::uint8_t>(payload[0]);
-  if (prio > static_cast<std::uint8_t>(engine::JobPriority::kBulk)) {
-    return false;
-  }
-  out->priority = static_cast<engine::JobPriority>(prio);
-  out->manifest = payload.substr(1);
   return true;
 }
 

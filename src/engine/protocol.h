@@ -1,13 +1,13 @@
-// `clear serve` wire protocol (version 2): the frame layer a shard-worker
-// daemon and its drivers (`clear submit`, the `clear fleet` orchestrator)
-// speak over a local stream socket.
+// `clear serve` wire protocol (version 3): the frame layer a shard-worker
+// daemon and its driver (the `clear fleet` orchestrator) speak over a
+// local stream socket.
 //
 // The daemon turns the run -> scp -> merge workflow into a live worker: a
-// driver connects, ships job requests (multi-campaign manifests in the
-// `clear run --spec` grammar), watches progress events stream back, and
-// receives each campaign's result as `.csr` wire bytes (inject/wire.h) it
-// can hand straight to `clear merge`.  docs/FORMATS.md specifies the
-// byte-level framing; docs/ARCHITECTURE.md the data flow.
+// driver connects, assigns shards (multi-campaign manifests in the
+// `clear run --spec` grammar, or explore stanzas), watches progress events
+// stream back, and receives each campaign's result as `.csr` wire bytes
+// (inject/wire.h) it can hand straight to `clear merge`.  docs/FORMATS.md
+// specifies the byte-level framing; docs/ARCHITECTURE.md the data flow.
 //
 // Design rules (shared with the on-disk formats):
 //   * little-endian fixed-width integers,
@@ -34,15 +34,14 @@
 //   server -> client   kHeartbeat                    (periodic liveness beacon;
 //                                                     a fleet driver declares a
 //                                                     silent worker dead)
-//   client -> server   kJob(priority, manifest)      (any number, pipelined)
-//   client -> server   kShardAssign(id, kind, ...)   (fleet shard dispatch; the
-//                                                     server answers kShardAck)
+//   client -> server   kShardAssign(id, kind, ...)   (any number, pipelined;
+//                                                     the server answers
+//                                                     kShardAck)
 //   server -> client     kShardAck(id, status)       (shard accepted/revoked)
 //   server -> client     kProgress*                  (for the front work item)
 //   server -> client     kResult(index, payload)*    (.csr per campaign, or one
 //                                                     .cxl for explore shards)
 //   server -> client     kDone(status, message)      (work item finished)
-//   client -> server   kCancel                       (cancels the front item)
 //   client -> server   kSteal(id)                    (revoke an undone shard so
 //                                                     the driver can re-dispatch
 //                                                     it; answered kShardAck)
@@ -61,9 +60,10 @@ namespace clear::serve {
 
 // Current (and newest understood) serve protocol version.  v2 added the
 // fleet frames (heartbeat, shard-assign, shard-ack, steal) and the worker
-// identity/capacity fields in the hello; v1 peers are refused at the
-// hello, never misparsed.
-constexpr std::uint32_t kProtoVersion = 2;
+// identity/capacity fields in the hello; v3 retired the job/cancel frames,
+// leaving shard-assign as the only way to hand a worker work.  Older
+// peers are refused at the hello, never misparsed.
+constexpr std::uint32_t kProtoVersion = 3;
 
 // "CSV1" little-endian, carried in the hello payload: identifies a clear
 // serve stream (CSR/CXL/CPK are files; CSV is the socket).
@@ -76,10 +76,10 @@ constexpr std::size_t kFrameHeaderSize = 16;
 // largest plausible campaign result with a wide margin.
 constexpr std::uint32_t kMaxFrameLen = 256u << 20;
 
+// Type words 2 and 3 carried the v2 job/cancel frames.  They are
+// retired: decode_frame refuses them, and they are never reused.
 enum class FrameType : std::uint32_t {
   kHello = 1,        // server -> client, once per connection
-  kJob = 2,          // client -> server: u8 priority, then manifest text
-  kCancel = 3,       // client -> server: cancel the front job (empty payload)
   kShutdown = 4,     // client -> server: stop accepting (empty payload)
   kProgress = 5,     // server -> client: JobProgress snapshot
   kResult = 6,       // server -> client: u32 campaign index, then .csr bytes
@@ -98,7 +98,7 @@ enum class FrameType : std::uint32_t {
 enum class JobOutcome : std::uint8_t {
   kOk = 0,          // all kResult frames delivered
   kFailed = 1,      // executor error; message carries what()
-  kCancelled = 2,   // kCancel (or connection loss) stopped the job
+  kCancelled = 2,   // the work was cancelled before it finished
   kBadRequest = 3,  // manifest did not resolve; nothing simulated
 };
 
@@ -200,14 +200,6 @@ struct ShardAck {
 [[nodiscard]] bool decode_heartbeat(const std::string& payload,
                                     std::uint32_t* inflight,
                                     std::string* metrics);
-
-struct JobRequest {
-  engine::JobPriority priority = engine::JobPriority::kInteractive;
-  std::string manifest;  // `clear run --spec` grammar, '---' stanzas
-};
-
-[[nodiscard]] std::string encode_job(const JobRequest& j);
-[[nodiscard]] bool decode_job(const std::string& payload, JobRequest* out);
 
 [[nodiscard]] std::string encode_progress(const engine::JobProgress& p);
 [[nodiscard]] bool decode_progress(const std::string& payload,

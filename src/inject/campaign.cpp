@@ -41,8 +41,7 @@ inline void check_cancel(const std::atomic<bool>* cancel) {
 
 // v4: checkpoint/fork execution engine (results are bit-identical to v3,
 // but the bump invalidates caches written by builds without the hardened
-// loader below).  The payload format is unchanged by the pack store, so
-// migrated v4 `.camp` entries stay valid.
+// loader below).
 constexpr std::uint32_t kCacheVersion = 4;
 
 constexpr std::uint64_t kGoldenBudget = 20'000'000;
@@ -101,12 +100,11 @@ std::string cache_label(const CampaignSpec& spec) {
   return label;
 }
 
-// Campaign payload <-> text.  The format is byte-compatible with the
-// legacy one-file-per-campaign `.camp` cache, so the pack migrator can
-// ingest old entries verbatim.  Parsing tolerates truncated or corrupted
-// payloads: any parse failure, fingerprint mismatch or implausible header
-// leaves *out untouched and returns false, so the caller falls back to
-// re-running the campaign (and rewrites the cache entry).
+// Campaign payload <-> text (the cache pack record payload).  Parsing
+// tolerates truncated or corrupted payloads: any parse failure,
+// fingerprint mismatch or implausible header leaves *out untouched and
+// returns false, so the caller falls back to re-running the campaign
+// (and rewrites the cache entry).
 bool parse_result(const std::string& payload, std::uint64_t fp,
                   std::uint32_t expected_ffs, CampaignResult* out) {
   std::istringstream in(payload);

@@ -43,8 +43,7 @@
 // blocking simulation core itself lives behind inject/exec.h.
 //
 // Caching: results are memoized in a single append-only pack file per
-// cache directory (inject/cachepack.h) instead of one file per campaign;
-// legacy `.camp` caches are migrated automatically on first open.
+// cache directory (inject/cachepack.h) instead of one file per campaign.
 //
 // Shard transport: inject/wire.h defines the checksummed `.csr` file
 // format shard results travel in between machines, and the `clear` CLI

@@ -1,17 +1,14 @@
 // Execution-engine tests: submit/wait/poll semantics, progress
 // monotonicity, priority lanes, cooperative cancellation (including the
 // killed-job fuzz over the campaign cache pack), Session::prefetch_async,
-// the serve protocol codec, and the `clear serve` loopback e2e -- real
-// daemon + client child processes whose returned .csr bytes must match
-// `clear run --out` exactly.
+// and the serve protocol codec.  The `clear serve` loopback e2e (real
+// daemon child processes driven by `clear fleet run`) lives in
+// test_fleet.cpp next to the other multi-process serve tests.
 #include <gtest/gtest.h>
-
-#include <sys/wait.h>
 
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +17,6 @@
 #include "engine/engine.h"
 #include "engine/protocol.h"
 #include "inject/campaign.h"
-#include "inject/wire.h"
 #include "isa/assembler.h"
 #include "workloads/workloads.h"
 
@@ -39,8 +35,6 @@ class EngineEnv : public ::testing::Environment {
     // Isolate from other test binaries (ctest runs them in parallel).
     ::setenv("CLEAR_CACHE_DIR", ".clear_cache_test_engine", 1);
     std::filesystem::remove_all(".clear_cache_test_engine");
-    std::filesystem::remove_all("engine_e2e");
-    std::filesystem::create_directories("engine_e2e");
   }
 };
 const ::testing::Environment* const kEnv =
@@ -337,8 +331,8 @@ TEST(SessionContract, SetBenchmarksThrowsOnceProfilesCollected) {
 
 TEST(ServeProtocol, FrameRoundTripAndIncrementalDecode) {
   const std::string payload = "hello frame payload";
-  const std::string bytes = serve::encode_frame(serve::FrameType::kJob,
-                                                payload);
+  const std::string bytes =
+      serve::encode_frame(serve::FrameType::kShardAssign, payload);
   ASSERT_EQ(bytes.size(), serve::kFrameHeaderSize + payload.size());
 
   // Feed byte by byte: kNeedMore until the last byte, then one clean
@@ -352,7 +346,7 @@ TEST(ServeProtocol, FrameRoundTripAndIncrementalDecode) {
   }
   buf.push_back(bytes.back());
   ASSERT_EQ(serve::decode_frame(&buf, &frame), serve::FrameStatus::kOk);
-  EXPECT_EQ(frame.type, serve::FrameType::kJob);
+  EXPECT_EQ(frame.type, serve::FrameType::kShardAssign);
   EXPECT_EQ(frame.payload, payload);
   EXPECT_TRUE(buf.empty());
 }
@@ -382,6 +376,14 @@ TEST(ServeProtocol, CorruptFramesAreRefusedNotMisparsed) {
   bytes[0] = 99;
   std::string buf = bytes;
   EXPECT_EQ(serve::decode_frame(&buf, &frame), serve::FrameStatus::kBad);
+  // Retired type words (2 = v2 job, 3 = v2 cancel): well-formed frames
+  // with intact checksums, inside the kHello..kSteal range, still refused.
+  for (const std::uint32_t retired : {2u, 3u}) {
+    std::string old = good;
+    old[0] = static_cast<char>(retired);
+    EXPECT_EQ(serve::decode_frame(&old, &frame), serve::FrameStatus::kBad)
+        << "type word " << retired;
+  }
 }
 
 TEST(ServeProtocol, PayloadCodecsRoundTrip) {
@@ -393,14 +395,6 @@ TEST(ServeProtocol, PayloadCodecsRoundTrip) {
   EXPECT_EQ(h2.proto_version, serve::kProtoVersion);
   EXPECT_EQ(h2.wire_version, 1u);
   EXPECT_FALSE(serve::decode_hello("not a hello", &h2));
-
-  serve::JobRequest j;
-  j.priority = engine::JobPriority::kBulk;
-  j.manifest = "--core InO --bench mcf\n---\n--core InO --bench gcc\n";
-  serve::JobRequest j2;
-  ASSERT_TRUE(serve::decode_job(serve::encode_job(j), &j2));
-  EXPECT_EQ(j2.priority, engine::JobPriority::kBulk);
-  EXPECT_EQ(j2.manifest, j.manifest);
 
   engine::JobProgress p;
   p.state = engine::JobState::kRunning;
@@ -428,80 +422,6 @@ TEST(ServeProtocol, PayloadCodecsRoundTrip) {
   ASSERT_TRUE(serve::decode_done(serve::encode_done(d), &d2));
   EXPECT_EQ(d2.outcome, serve::JobOutcome::kBadRequest);
   EXPECT_EQ(d2.message, "no such bench");
-}
-
-// ---- serve loopback e2e ----------------------------------------------------
-
-// Runs a shell command, returns its exit status (-1 if it died on a
-// signal).  Stdout routed to /dev/null to keep ctest logs tidy.
-int sh(const std::string& cmd) {
-  const int rc = std::system((cmd + " > /dev/null").c_str());
-  if (rc == -1) return -1;
-  if (WIFEXITED(rc)) return WEXITSTATUS(rc);
-  return -1;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-const std::string kBin = CLEAR_CLI_BIN;
-
-TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
-  const std::string dir = "engine_e2e";
-  // A two-campaign manifest exercising the batch path.
-  {
-    std::ofstream spec(dir + "/job.spec");
-    spec << "--core InO --bench gcc --injections 60 --seed 3\n"
-         << "---\n"
-         << "--core InO --bench mcf --injections 60 --seed 3\n";
-  }
-  // Daemon (one connection, then exit) + client.  The client retries the
-  // connect while the daemon starts; --shutdown is a belt-and-braces
-  // second exit path under the ctest timeout.
-  ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w.sock --once --quiet &"),
-            0);
-  ASSERT_EQ(sh(kBin + " submit --socket " + dir + "/w.sock --spec " + dir +
-               "/job.spec --out-dir " + dir + "/got --shutdown --quiet"),
-            0);
-
-  // Local references through the very same CLI resolution.
-  ASSERT_EQ(sh(kBin + " run --bench gcc --injections 60 --seed 3 --out " +
-               dir + "/ref0.csr"),
-            0);
-  ASSERT_EQ(sh(kBin + " run --bench mcf --injections 60 --seed 3 --out " +
-               dir + "/ref1.csr"),
-            0);
-
-  const std::string got0 = slurp(dir + "/got/campaign0.csr");
-  const std::string got1 = slurp(dir + "/got/campaign1.csr");
-  ASSERT_FALSE(got0.empty());
-  ASSERT_FALSE(got1.empty());
-  EXPECT_EQ(got0, slurp(dir + "/ref0.csr"));
-  EXPECT_EQ(got1, slurp(dir + "/ref1.csr"));
-
-  // And they decode as exact, complete shard files.
-  inject::ShardFile shard;
-  ASSERT_EQ(inject::decode_shard(got0, &shard), inject::WireStatus::kOk);
-  EXPECT_EQ(shard.key, "cli/InO/gcc/base");
-  EXPECT_TRUE(shard.complete());
-}
-
-TEST(ServeE2E, BadManifestIsRefusedWithoutSimulating) {
-  const std::string dir = "engine_e2e";
-  {
-    std::ofstream spec(dir + "/bad.spec");
-    spec << "--core InO --bench no_such_bench_xyz\n";
-  }
-  ASSERT_EQ(sh(kBin + " serve --socket " + dir + "/w2.sock --once --quiet &"),
-            0);
-  // Bad request: the daemon answers kDone(bad-request), the client exits 1.
-  EXPECT_EQ(sh(kBin + " submit --socket " + dir + "/w2.sock --spec " + dir +
-               "/bad.spec --out-dir " + dir + "/none --shutdown --quiet 2>&1"),
-            1);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Fleet orchestrator tests: protocol v2 codecs (hello identity, shard
+// Fleet orchestrator tests: protocol codecs (hello identity, shard
 // assign/ack, steal, heartbeat) with bit-flip refusal, endpoint grammar
 // and @N fan-out expansion, shard builders (campaign manifest sharding,
 // explore stanza round-trip, forbidden-flag refusal), worker-side explore
 // execution + cancellation, and the multi-process end-to-ends of the
 // acceptance criteria: a worker SIGKILLed mid-shard whose shards are
 // redispatched and whose merged bytes still equal the single-machine
-// merge, `clear serve --workers N` fan-out driven as a fleet, two
-// concurrent submitters against one daemon, the submit hello deadline
-// against a silent server, and SIGTERM draining an in-flight daemon.
+// merge, `clear serve --workers N` fan-out driven as a fleet, the
+// one-worker `clear fleet run` loopback whose .csr bytes must equal
+// `clear run --out`, worker-side refusal of a bad manifest, two
+// concurrent drivers against one daemon, the hello deadline against a
+// silent server, the hello version gate, and SIGTERM draining an
+// in-flight daemon.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -16,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -32,6 +36,7 @@
 #include "explore/ledger.h"
 #include "fleet/fleet.h"
 #include "inject/wire.h"
+#include "util/socket.h"
 
 namespace {
 
@@ -116,7 +121,7 @@ void wait_for_file(const std::string& path) {
   }
 }
 
-// ---- protocol v2 codecs ----------------------------------------------------
+// ---- protocol codecs -------------------------------------------------------
 
 TEST(FleetProtocol, HelloCarriesWorkerIdentityAndCapacity) {
   serve::Hello h;
@@ -450,9 +455,80 @@ TEST(FleetE2E, ServeFanOutExploreMatchesLocalMerge) {
   EXPECT_EQ(reap(parent), 0);
 }
 
-// ---- serve/submit robustness ----------------------------------------------
+// ---- serve loopback e2e ----------------------------------------------------
 
-TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
+// A one-worker `clear fleet run` is the plain remote run: one endpoint,
+// one shard, and each returned campaign<i>.csr equals `clear run --out`.
+TEST(ServeE2E, LoopbackResultsMatchLocalRunByteForByte) {
+  // A two-campaign manifest exercising the batch path.
+  {
+    std::ofstream spec(kDir + "/job.spec");
+    spec << "--core InO --bench gcc --injections 60 --seed 3\n"
+         << "---\n"
+         << "--core InO --bench mcf --injections 60 --seed 3\n";
+  }
+  // Daemon (one connection, then exit) + driver.  The driver retries the
+  // connect while the daemon starts; --shutdown is a belt-and-braces
+  // second exit path under the ctest timeout.
+  ASSERT_EQ(sh(kBin + " serve --socket " + kDir + "/w.sock --once --quiet &"),
+            0);
+  ASSERT_EQ(sh(kBin + " fleet run --spec " + kDir + "/job.spec --out-dir " +
+               kDir + "/got --shutdown --quiet " + kDir + "/w.sock"),
+            0);
+
+  // Local references through the very same CLI resolution.
+  ASSERT_EQ(sh(kBin + " run --bench gcc --injections 60 --seed 3 --out " +
+               kDir + "/ref0.csr"),
+            0);
+  ASSERT_EQ(sh(kBin + " run --bench mcf --injections 60 --seed 3 --out " +
+               kDir + "/ref1.csr"),
+            0);
+
+  const std::string got0 = slurp(kDir + "/got/campaign0.csr");
+  const std::string got1 = slurp(kDir + "/got/campaign1.csr");
+  ASSERT_FALSE(got0.empty());
+  ASSERT_FALSE(got1.empty());
+  EXPECT_EQ(got0, slurp(kDir + "/ref0.csr"));
+  EXPECT_EQ(got1, slurp(kDir + "/ref1.csr"));
+
+  // And they decode as exact, complete shard files.
+  inject::ShardFile shard;
+  ASSERT_EQ(inject::decode_shard(got0, &shard), inject::WireStatus::kOk);
+  EXPECT_EQ(shard.key, "cli/InO/gcc/base");
+  EXPECT_TRUE(shard.complete());
+}
+
+// `clear fleet run` resolves the manifest before it connects, so the
+// worker-side refusal is driven in-process: the daemon answers
+// done(bad-request) without simulating, and run_fleet surfaces its
+// message instead of retrying the shard elsewhere.
+TEST(ServeE2E, BadManifestIsRefusedWithoutSimulating) {
+  const pid_t daemon =
+      spawn_serve({"--socket", kDir + "/w2.sock", "--once", "--quiet"});
+  ASSERT_GT(daemon, 0);
+  std::vector<fleet::Endpoint> workers(1);
+  std::string err;
+  ASSERT_TRUE(fleet::parse_endpoint(kDir + "/w2.sock", &workers[0], &err));
+  std::vector<fleet::ShardWork> shards;
+  ASSERT_TRUE(fleet::build_campaign_shards(
+      "--core InO --bench no_such_bench_xyz\n", 1, &shards, &err))
+      << err;
+
+  std::string refusal;
+  try {
+    (void)fleet::run_fleet(workers, shards, fleet::FleetOptions{});
+  } catch (const std::exception& e) {
+    refusal = e.what();
+  }
+  EXPECT_NE(refusal.find("refused shard"), std::string::npos) << refusal;
+  EXPECT_NE(refusal.find("no_such_bench_xyz"), std::string::npos) << refusal;
+  // --once: the daemon exits cleanly after the refusing driver hangs up.
+  EXPECT_EQ(reap(daemon), 0);
+}
+
+// ---- serve robustness ------------------------------------------------------
+
+TEST(ServeRobustness, TwoConcurrentDriversBothGetExactBytes) {
   const pid_t daemon = spawn_serve({"--socket", kDir + "/c.sock", "--quiet"});
   ASSERT_GT(daemon, 0);
   {
@@ -462,15 +538,15 @@ TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
     b << "--core InO --bench mcf --injections 60 --seed 3\n";
   }
   int rc_a = -1, rc_b = -1;
-  // Thread-per-connection: both clients make progress simultaneously
+  // Thread-per-connection: both drivers make progress simultaneously
   // instead of queueing behind the accept loop.
   std::thread ta([&] {
-    rc_a = sh(kBin + " submit --socket " + kDir + "/c.sock --spec " + kDir +
-              "/a.spec --out-dir " + kDir + "/got_a --quiet");
+    rc_a = sh(kBin + " fleet run --spec " + kDir + "/a.spec --out-dir " +
+              kDir + "/got_a --quiet " + kDir + "/c.sock");
   });
   std::thread tb([&] {
-    rc_b = sh(kBin + " submit --socket " + kDir + "/c.sock --spec " + kDir +
-              "/b.spec --out-dir " + kDir + "/got_b --quiet");
+    rc_b = sh(kBin + " fleet run --spec " + kDir + "/b.spec --out-dir " +
+              kDir + "/got_b --quiet " + kDir + "/c.sock");
   });
   ta.join();
   tb.join();
@@ -494,7 +570,7 @@ TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
   EXPECT_EQ(reap(daemon), 0);
 }
 
-TEST(ServeRobustness, SubmitHelloDeadlineBoundsASilentServer) {
+TEST(ServeRobustness, HelloDeadlineBoundsASilentServer) {
   // A listener that never speaks: connect succeeds (the kernel completes
   // it from the backlog), the CSV1 hello never arrives.
   const std::string path = kDir + "/silent.sock";
@@ -511,13 +587,88 @@ TEST(ServeRobustness, SubmitHelloDeadlineBoundsASilentServer) {
     spec << "--core InO --bench mcf --injections 60 --seed 3\n";
   }
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(sh(kBin + " submit --socket " + path + " --spec " + kDir +
-               "/silent.spec --out-dir " + kDir +
-               "/silent_out --hello-timeout-ms 300 --quiet 2>&1"),
+  EXPECT_EQ(sh(kBin + " fleet run --spec " + kDir + "/silent.spec" +
+               " --out-dir " + kDir + "/silent_out --hello-timeout-ms 300" +
+               " --quiet " + path + " 2>&1"),
             1);
   // The deadline fired: no multi-second hang, no indefinite block.
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
   ::close(fd);
+}
+
+// Runs run_fleet against an in-process fake worker whose hello announces
+// `proto_version`, and returns the frame types the fake received before
+// the driver hung up (it hangs up itself after a shard-assign).
+// *fleet_error receives run_fleet's exception text.
+std::vector<serve::FrameType> drive_fake_worker(const std::string& path,
+                                                std::uint32_t proto_version,
+                                                std::string* fleet_error) {
+  util::Socket listener = util::Socket::listen_unix(path);
+  std::vector<serve::FrameType> seen;
+  std::thread fake([&] {
+    util::Socket conn = listener.accept(10000);
+    if (!conn.valid()) return;
+    serve::Hello hello;
+    hello.proto_version = proto_version;
+    hello.wire_version = inject::kWireVersion;
+    hello.ledger_version = explore::kLedgerVersion;
+    hello.capacity = 1;
+    hello.name = "fake";
+    const std::string bytes = serve::encode_frame(serve::FrameType::kHello,
+                                                  serve::encode_hello(hello));
+    if (!conn.send_all(bytes.data(), bytes.size())) return;
+    std::string buf;
+    for (;;) {
+      serve::Frame frame;
+      while (serve::decode_frame(&buf, &frame) == serve::FrameStatus::kOk) {
+        seen.push_back(frame.type);
+        if (frame.type == serve::FrameType::kShardAssign) return;
+      }
+      if (!conn.readable(10000)) return;
+      char chunk[4096];
+      const long n = conn.recv_some(chunk, sizeof(chunk));
+      if (n <= 0) return;
+      buf.append(chunk, static_cast<std::size_t>(n));
+    }
+  });
+
+  std::vector<fleet::Endpoint> workers(1);
+  std::string err;
+  EXPECT_TRUE(fleet::parse_endpoint(path, &workers[0], &err)) << err;
+  std::vector<fleet::ShardWork> shards;
+  EXPECT_TRUE(fleet::build_campaign_shards(
+      "--core InO --bench mcf --injections 60 --seed 3\n", 1, &shards, &err))
+      << err;
+  fleet::FleetOptions opts;
+  opts.hello_timeout_ms = 2000;
+  try {
+    (void)fleet::run_fleet(workers, shards, opts);
+  } catch (const std::exception& e) {
+    *fleet_error = e.what();
+  }
+  fake.join();
+  return seen;
+}
+
+TEST(ServeRobustness, OlderProtocolHelloIsRefusedBeforeAnyShardAssign) {
+  // Control: a current-version hello registers the fake, which then
+  // receives a shard-assign (and hangs up, so the driver gives up).
+  std::string error;
+  const auto current = drive_fake_worker(kDir + "/fake_v_now.sock",
+                                         serve::kProtoVersion, &error);
+  EXPECT_NE(std::find(current.begin(), current.end(),
+                      serve::FrameType::kShardAssign),
+            current.end());
+  EXPECT_NE(error.find("all workers died"), std::string::npos) << error;
+
+  // A v(N-1) hello is refused at registration: the driver sends nothing
+  // at all, and with no worker left it fails instead of waiting.
+  error.clear();
+  const auto older = drive_fake_worker(kDir + "/fake_v_old.sock",
+                                       serve::kProtoVersion - 1, &error);
+  EXPECT_TRUE(older.empty()) << older.size() << " frame(s) sent to a v"
+                             << serve::kProtoVersion - 1 << " worker";
+  EXPECT_NE(error.find("no workers registered"), std::string::npos) << error;
 }
 
 TEST(ServeRobustness, SigtermCancelsInflightJobAndExitsPromptly) {
@@ -529,8 +680,9 @@ TEST(ServeRobustness, SigtermCancelsInflightJobAndExitsPromptly) {
     // Cache-cold and big enough to still be mid-simulation at the signal.
     spec << "--core InO --bench gcc --injections 40000 --seed 19\n";
   }
-  ASSERT_EQ(sh(kBin + " submit --socket " + kDir + "/t.sock --spec " + kDir +
-               "/long.spec --out-dir " + kDir + "/long_out --quiet 2>&1 &"),
+  ASSERT_EQ(sh(kBin + " fleet run --spec " + kDir + "/long.spec" +
+               " --out-dir " + kDir + "/long_out --quiet " + kDir +
+               "/t.sock 2>&1 &"),
             0);
   std::this_thread::sleep_for(700ms);
   ASSERT_EQ(::kill(daemon, SIGTERM), 0);

@@ -44,12 +44,10 @@ The reason is mandatory; a bare allow() is itself a finding.  The
 atomics checker additionally consults its per-file allowlist (see the
 file's header comment for the entry grammar).
 
-Implementation: token-level analysis over comment/string-blanked source
-(the fallback that always works).  When the libclang python bindings are
-importable, the comment/string blanking and token stream come from
-clang.cindex instead, which is exact; the checkers themselves are
-identical either way.  `--compile-commands` restricts the swept file set
-to translation units the build actually compiles (plus all headers).
+Implementation: token-level analysis over comment/string-blanked source;
+the scanner needs nothing beyond the Python standard library.
+`--compile-commands` restricts the swept file set to translation units
+the build actually compiles (plus all headers).
 """
 
 import argparse
@@ -63,13 +61,6 @@ import sys
 # by the lint self-test), so CI artifacts record which invariant set
 # vetted a build.
 CHECKER_SET_VERSION = 1
-
-try:  # pragma: no cover - environment dependent
-    import clang.cindex  # type: ignore
-
-    HAVE_LIBCLANG = True
-except ImportError:
-    HAVE_LIBCLANG = False
 
 
 class Finding:
@@ -133,15 +124,9 @@ class SourceFile:
 def _blank_comments_and_strings(text):
     """Replaces //, /* */ comments and "..."/'...' literals with spaces.
 
-    Newlines are preserved so line numbers survive.  When libclang is
-    available the blanking comes from its exact token stream; the manual
-    scanner below handles the same cases (escapes, line-continuations in
-    strings are rare enough in this tree to ignore) and is what CI uses.
+    Newlines are preserved so line numbers survive.  Escapes are handled;
+    line-continuations in strings are rare enough in this tree to ignore.
     """
-    if HAVE_LIBCLANG:  # pragma: no cover - environment dependent
-        blanked = _libclang_blank(text)
-        if blanked is not None:
-            return blanked
     out = []
     i, n = 0, len(text)
     NORMAL, LINE_COMMENT, BLOCK_COMMENT, STRING, CHAR = range(5)
@@ -195,37 +180,6 @@ def _blank_comments_and_strings(text):
             out.append("\n" if c == "\n" else " ")
         i += 1
     return "".join(out)
-
-
-def _libclang_blank(text):  # pragma: no cover - environment dependent
-    """Exact blanking via the libclang tokenizer; None on any failure."""
-    try:
-        idx = clang.cindex.Index.create()
-        tu = idx.parse("lint_tu.cpp", args=["-std=c++17", "-fsyntax-only"],
-                       unsaved_files=[("lint_tu.cpp", text)],
-                       options=clang.cindex.TranslationUnit
-                       .PARSE_DETAILED_PROCESSING_RECORD)
-    except Exception:
-        return None
-    chars = list(text)
-    offsets = [0]
-    for ln in text.split("\n")[:-1]:
-        offsets.append(offsets[-1] + len(ln) + 1)
-
-    def off(loc):
-        return offsets[loc.line - 1] + loc.column - 1
-
-    for tok in tu.get_tokens(extent=tu.cursor.extent):
-        kind = tok.kind.name
-        if kind not in ("COMMENT", "LITERAL"):
-            continue
-        if kind == "LITERAL" and not tok.spelling.startswith(('"', "'")):
-            continue
-        start, end = off(tok.extent.start), off(tok.extent.end)
-        for i in range(max(0, start), min(len(chars), end)):
-            if chars[i] != "\n":
-                chars[i] = " "
-    return "".join(chars)
 
 
 # --------------------------------------------------------------------------
@@ -671,7 +625,6 @@ def main(argv=None):
             "schema": "clear-lint-v1",
             "checker_set_version": CHECKER_SET_VERSION,
             "checkers": selected,
-            "libclang": HAVE_LIBCLANG,
             "findings": [{"file": f.path, "line": f.line,
                           "checker": f.checker, "message": f.message}
                          for f in findings],
@@ -679,10 +632,9 @@ def main(argv=None):
     else:
         for f in findings:
             print(f.render())
-        print("clear_lint: %d finding%s over %d files (checker set v%d%s)"
+        print("clear_lint: %d finding%s over %d files (checker set v%d)"
               % (len(findings), "" if len(findings) == 1 else "s",
-                 len(files), CHECKER_SET_VERSION,
-                 ", libclang" if HAVE_LIBCLANG else ", token fallback"),
+                 len(files), CHECKER_SET_VERSION),
               file=sys.stderr)
     return 1 if findings else 0
 
